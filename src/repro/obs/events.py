@@ -39,8 +39,8 @@ record documented in :mod:`repro.obs.jsonl`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, ClassVar, Dict
+from dataclasses import dataclass, field, fields
+from typing import Any, ClassVar, Dict, NamedTuple, Tuple, get_type_hints
 
 #: The twelve event kinds, as they appear in JSONL ``type`` fields.
 ROUND = "round"
@@ -56,12 +56,52 @@ SERVE_DRAIN = "serve.drain"
 SCENARIO = "scenario"
 SKETCH = "sketch"
 
-EVENT_KINDS = (
-    ROUND, DELIVER, FAULT, QUERY_BATCH, CHARGE, SPAN, COALESCE,
-    SERVE_REQUEST, SERVE_BATCH, SERVE_DRAIN, SCENARIO, SKETCH,
-)
+
+def _optional(default: Any = "") -> Any:
+    """A field the JSONL record omits while it holds ``default``."""
+    return field(default=default, metadata={"omit_default": True})
 
 
+def _renamed(json_key: str) -> Any:
+    """A required field whose JSONL key differs from its attribute name."""
+    return field(metadata={"json": json_key})
+
+
+class _Field(NamedTuple):
+    """One field of a JSONL record, derived from its event dataclass."""
+
+    attr: str
+    key: str  # the JSONL key
+    type: Any  # the resolved annotation
+    optional: bool  # omitted from the record while it equals ``default``
+    default: Any
+
+
+#: kind -> event class, in declaration order.
+_CLASSES: Dict[str, type] = {}
+
+#: kind -> record fields in JSONL order: required fields in declaration
+#: order (so ``span`` closes them), then the optional ones.
+_LAYOUT: Dict[str, Tuple[_Field, ...]] = {}
+
+
+def _event(cls: type) -> type:
+    """Register an event dataclass and derive its JSONL record layout."""
+    hints = get_type_hints(cls)
+    declared = fields(cls)
+    if declared[-1].name != "span":
+        raise TypeError(f"{cls.__name__}: 'span' must be the last field")
+    layout = [
+        _Field(f.name, f.metadata.get("json", f.name), hints[f.name],
+               bool(f.metadata.get("omit_default")), f.default)
+        for f in declared
+    ]
+    _CLASSES[cls.kind] = cls
+    _LAYOUT[cls.kind] = tuple(sorted(layout, key=lambda f: f.optional))
+    return cls
+
+
+@_event
 @dataclass(frozen=True)
 class RoundEvent:
     """One engine communication round: its delivery count and bit volume.
@@ -81,21 +121,22 @@ class RoundEvent:
 
     kind: ClassVar[str] = ROUND
 
-    round_no: int
+    round_no: int = _renamed("round")
     messages: int
     bits: int
+    mode: str = _optional()
+    model: str = _optional()
     span: str = ""
-    mode: str = ""
-    model: str = ""
 
 
+@_event
 @dataclass(frozen=True)
 class DeliverEvent:
     """One message delivered to a node at the start of a round."""
 
     kind: ClassVar[str] = DELIVER
 
-    round_no: int
+    round_no: int = _renamed("round")
     src: int
     dst: int
     bits: int
@@ -103,6 +144,7 @@ class DeliverEvent:
     span: str = ""
 
 
+@_event
 @dataclass(frozen=True)
 class FaultEvent:
     """One injected fault.
@@ -114,7 +156,7 @@ class FaultEvent:
     kind: ClassVar[str] = FAULT
 
     fault: str
-    round_no: int
+    round_no: int = _renamed("round")
     src: int
     dst: int
     bits: int = 0
@@ -122,6 +164,7 @@ class FaultEvent:
     span: str = ""
 
 
+@_event
 @dataclass(frozen=True)
 class QueryBatchEvent:
     """One metered application of the parallel oracle (Definition 1)."""
@@ -133,6 +176,7 @@ class QueryBatchEvent:
     span: str = ""
 
 
+@_event
 @dataclass(frozen=True)
 class ChargeEvent:
     """One phase charge on a :class:`~repro.core.cost.RoundLedger`.
@@ -146,10 +190,11 @@ class ChargeEvent:
 
     phase: str
     rounds: int
+    model: str = _optional()
     span: str = ""
-    model: str = ""
 
 
+@_event
 @dataclass(frozen=True)
 class SpanEvent:
     """Begin or end of a recorder span.
@@ -165,6 +210,7 @@ class SpanEvent:
     span: str = ""
 
 
+@_event
 @dataclass(frozen=True)
 class CoalesceEvent:
     """One scheduler coalescing action (:mod:`repro.sched`).
@@ -186,6 +232,7 @@ class CoalesceEvent:
     span: str = ""
 
 
+@_event
 @dataclass(frozen=True)
 class ServeRequestEvent:
     """One request's life-cycle edge inside the serving daemon.
@@ -205,6 +252,7 @@ class ServeRequestEvent:
     span: str = ""
 
 
+@_event
 @dataclass(frozen=True)
 class ServeBatchEvent:
     """One physical batch stepped to completion by a daemon lane."""
@@ -218,6 +266,7 @@ class ServeBatchEvent:
     span: str = ""
 
 
+@_event
 @dataclass(frozen=True)
 class ServeDrainEvent:
     """The daemon's shutdown handshake.
@@ -235,6 +284,7 @@ class ServeDrainEvent:
     span: str = ""
 
 
+@_event
 @dataclass(frozen=True)
 class ScenarioEvent:
     """One wall-clock pricing of a run under a scenario's link model.
@@ -257,6 +307,7 @@ class ScenarioEvent:
     span: str = ""
 
 
+@_event
 @dataclass(frozen=True)
 class SketchEvent:
     """One amplitude-sketch operation or sketch-lane memo edge.
@@ -277,7 +328,7 @@ class SketchEvent:
     sketch: str
     op: str
     count: int
-    memo: str = ""  # "" | "hit" | "invalidate"
+    memo: str = _optional()  # "" | "hit" | "invalidate"
     span: str = ""
 
 
@@ -292,63 +343,25 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
+#: The twelve event kinds, as they appear in JSONL ``type`` fields.
+EVENT_KINDS = tuple(_CLASSES)
+
+
 def to_json(event: Any) -> Dict[str, Any]:
-    """The stable ``repro-trace/1`` JSONL record for one event."""
-    kind = event.kind
-    if kind == ROUND:
-        record = {"type": ROUND, "round": event.round_no,
-                  "messages": event.messages, "bits": event.bits,
-                  "span": event.span}
-        if event.mode:
-            record["mode"] = event.mode
-        if event.model:
-            record["model"] = event.model
-        return record
-    if kind == DELIVER:
-        return {"type": DELIVER, "round": event.round_no, "src": event.src,
-                "dst": event.dst, "bits": event.bits,
-                "value": _jsonable(event.value), "span": event.span}
-    if kind == FAULT:
-        return {"type": FAULT, "fault": event.fault, "round": event.round_no,
-                "src": event.src, "dst": event.dst, "bits": event.bits,
-                "value": _jsonable(event.value), "span": event.span}
-    if kind == QUERY_BATCH:
-        return {"type": QUERY_BATCH, "size": event.size,
-                "label": event.label, "span": event.span}
-    if kind == CHARGE:
-        record = {"type": CHARGE, "phase": event.phase,
-                  "rounds": event.rounds, "span": event.span}
-        if event.model:
-            record["model"] = event.model
-        return record
-    if kind == SPAN:
-        return {"type": SPAN, "name": event.name, "phase": event.phase,
-                "span": event.span}
-    if kind == COALESCE:
-        return {"type": COALESCE, "size": event.size,
-                "submissions": event.submissions, "callers": event.callers,
-                "rounds": event.rounds, "memo": event.memo,
-                "span": event.span}
-    if kind == SERVE_REQUEST:
-        return {"type": SERVE_REQUEST, "tenant": event.tenant,
-                "queries": event.queries, "status": event.status,
-                "wait_ms": event.wait_ms, "span": event.span}
-    if kind == SERVE_BATCH:
-        return {"type": SERVE_BATCH, "lane": event.lane, "size": event.size,
-                "tenants": event.tenants, "rounds": event.rounds,
-                "span": event.span}
-    if kind == SERVE_DRAIN:
-        return {"type": SERVE_DRAIN, "reason": event.reason,
-                "flushed": event.flushed, "abandoned": event.abandoned,
-                "span": event.span}
-    if kind == SCENARIO:
-        return {"type": SCENARIO, "scenario": event.scenario,
-                "link": event.link, "rounds": event.rounds,
-                "wall_clock_us": event.wall_clock_us, "span": event.span}
-    if kind == SKETCH:
-        record = {"type": SKETCH, "sketch": event.sketch, "op": event.op,
-                  "count": event.count, "span": event.span}
-        if event.memo:
-            record["memo"] = event.memo
-        return record
-    raise ValueError(f"unknown event kind {kind!r}")
+    """The stable ``repro-trace/1`` JSONL record for one event.
+
+    ``type`` first, then the required fields in declaration order
+    (``span`` last among them), then each optional field that differs
+    from its default; ``Any``-typed payloads go through
+    :func:`_jsonable`.
+    """
+    layout = _LAYOUT.get(event.kind)
+    if layout is None:
+        raise ValueError(f"unknown event kind {event.kind!r}")
+    record: Dict[str, Any] = {"type": event.kind}
+    for f in layout:
+        value = getattr(event, f.attr)
+        if f.optional and value == f.default:
+            continue
+        record[f.key] = _jsonable(value) if f.type is Any else value
+    return record

@@ -5,94 +5,39 @@ One record per line.  The first line is a header::
     {"type": "meta", "schema": "repro-trace/1"}
 
 and every subsequent line is one event record as produced by
-:func:`repro.obs.events.to_json` — its ``type`` is one of the twelve
-event kinds and its remaining fields are fixed per type (``_REQUIRED``).
-The CI ``trace-smoke`` and ``serve-smoke`` jobs round-trip real
-experiments through this schema with :func:`validate_jsonl`.
-
-The ``serve.*`` record types (``serve.request``, ``serve.batch``,
-``serve.drain``) were added by the serving daemon (PR 6).  They are a
-pure extension: every pre-existing record type is unchanged, so older
-``repro-trace/1`` streams still validate.
-
-The optional ``model`` field on ``round`` and ``charge`` records was
-added by the communication-model layer (PR 8), following the precedent
-of ``round``'s optional ``mode`` (PR 7): omitted under the default
-CONGEST model, so pre-model streams are byte-identical and still
-validate; present (and type-checked) for non-default models.
-
-The ``scenario`` record type (PR 9) prices charged rounds in wall-clock
-microseconds under a scenario's link model — the same pure-extension
-discipline: emitted only when a scenario is declared, so scenario-free
-streams are byte-identical to pre-scenario ones and still validate.
-
-The ``sketch`` record type (PR 10) carries amplitude-sketch operations
-(insert/query/compose) and sketch-lane memo edges; its optional ``memo``
-field (``"hit"`` / ``"invalidate"``) is omitted for physical state
-operations.  ``coalesce`` records additionally admit
-``memo="invalidate"`` for the write-path memo protocol.  Pure extension
-again: sketch-free streams are byte-identical to pre-sketch ones.
+:func:`repro.obs.events.to_json`.  Its ``type`` is one of the twelve
+event kinds and its other fields are those of the kind's event
+dataclass, so the schema is declared once, in :mod:`repro.obs.events`.
+A field marked optional there is omitted from the record while it holds
+its default, and type-checked when present.  That is how the schema
+grows: a new field or kind is optional or absent in every stream that
+does not use it, so older streams stay byte-identical and valid.  The
+CI ``trace-smoke`` and ``serve-smoke`` jobs round-trip real experiments
+through this schema with :func:`validate_jsonl`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable
+from typing import Any, Dict, Iterable, Tuple
 
-from .events import (
-    CHARGE,
-    COALESCE,
-    DELIVER,
-    EVENT_KINDS,
-    FAULT,
-    QUERY_BATCH,
-    ROUND,
-    SCENARIO,
-    SERVE_BATCH,
-    SERVE_DRAIN,
-    SERVE_REQUEST,
-    SKETCH,
-    SPAN,
-    to_json,
-)
+from .events import _LAYOUT, to_json
 from .sinks import Sink
 
 SCHEMA = "repro-trace/1"
 
-#: required field -> type (or tuple of types), per record type ("value"
-#: is unconstrained).  ``wait_ms`` admits int because JSON has one number
-#: type and a whole-millisecond latency serializes without a fraction.
-_REQUIRED = {
-    ROUND: {"round": int, "messages": int, "bits": int, "span": str},
-    DELIVER: {"round": int, "src": int, "dst": int, "bits": int, "span": str},
-    FAULT: {"fault": str, "round": int, "src": int, "dst": int, "bits": int,
-            "span": str},
-    QUERY_BATCH: {"size": int, "label": str, "span": str},
-    CHARGE: {"phase": str, "rounds": int, "span": str},
-    SPAN: {"name": str, "phase": str, "span": str},
-    COALESCE: {"size": int, "submissions": int, "callers": int,
-               "rounds": int, "memo": str, "span": str},
-    SERVE_REQUEST: {"tenant": str, "queries": int, "status": str,
-                    "wait_ms": (int, float), "span": str},
-    SERVE_BATCH: {"lane": str, "size": int, "tenants": int, "rounds": int,
-                  "span": str},
-    SERVE_DRAIN: {"reason": str, "flushed": int, "abandoned": int,
-                  "span": str},
-    SCENARIO: {"scenario": str, "link": str, "rounds": int,
-               "wall_clock_us": (int, float), "span": str},
-    SKETCH: {"sketch": str, "op": str, "count": int, "span": str},
-}
+#: Python annotation -> JSON types a record value may take.  JSON has one
+#: number type, so a whole-valued float field may arrive as an int.
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
-#: optional field -> type, per record type.  Optional fields are omitted
-#: from the record when they hold their default (so pre-extension streams
-#: stay byte-identical and older validators keep passing), but when
-#: present they must type-check.  ``mode`` (PR 7) marks vectorized
-#: rounds; ``model`` (PR 8) names a non-default communication model on
-#: round/charge records.
-_OPTIONAL = {
-    ROUND: {"mode": str, "model": str},
-    CHARGE: {"model": str},
-    SKETCH: {"memo": str},
+#: kind -> ``(key, accepted types, required)`` per type-checked field;
+#: ``Any`` payloads (``value``) are unconstrained.
+_CHECKS: Dict[str, Tuple[Tuple[str, tuple, bool], ...]] = {
+    kind: tuple(
+        (f.key, _JSON_TYPES[f.type], not f.optional)
+        for f in layout if f.type is not Any
+    )
+    for kind, layout in _LAYOUT.items()
 }
 
 
@@ -184,29 +129,23 @@ def validate_jsonl(path: str) -> Dict[str, int]:
                     )
                 counts["meta"] = 1
                 continue
-            if rtype not in EVENT_KINDS:
+            checks = _CHECKS.get(rtype)
+            if checks is None:
                 raise ValueError(f"{path}:{lineno}: unknown type {rtype!r}")
-            for field, ftype in _REQUIRED[rtype].items():
-                if field not in record:
+            for key, types, required in checks:
+                if key not in record:
+                    if not required:
+                        continue
                     raise ValueError(
-                        f"{path}:{lineno}: {rtype} record missing {field!r}"
+                        f"{path}:{lineno}: {rtype} record missing {key!r}"
                     )
-                value = record[field]
-                # bool is an int subclass; trace integers are never bools.
-                if not isinstance(value, ftype) or isinstance(value, bool):
-                    expected = (
-                        "/".join(t.__name__ for t in ftype)
-                        if isinstance(ftype, tuple) else ftype.__name__
-                    )
+                value = record[key]
+                # bool is an int subclass; trace numbers are never bools.
+                if not isinstance(value, types) or isinstance(value, bool):
+                    expected = "/".join(t.__name__ for t in types)
                     raise ValueError(
-                        f"{path}:{lineno}: field {field!r} should be "
+                        f"{path}:{lineno}: field {key!r} should be "
                         f"{expected}, got {value!r}"
-                    )
-            for field, ftype in _OPTIONAL.get(rtype, {}).items():
-                if field in record and not isinstance(record[field], ftype):
-                    raise ValueError(
-                        f"{path}:{lineno}: optional field {field!r} should "
-                        f"be {ftype.__name__}, got {record[field]!r}"
                     )
             counts[rtype] = counts.get(rtype, 0) + 1
     if counts.get("meta") != 1:

@@ -20,26 +20,19 @@ thread-safe; the engine itself is single-threaded.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from typing import Any, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
-from .events import (
-    ChargeEvent,
-    CoalesceEvent,
-    DeliverEvent,
-    FaultEvent,
-    QueryBatchEvent,
-    RoundEvent,
-    ScenarioEvent,
-    ServeBatchEvent,
-    ServeDrainEvent,
-    ServeRequestEvent,
-    SketchEvent,
-    SpanEvent,
-)
+from .events import SPAN, SpanEvent, _CLASSES
 
 
 class Recorder:
-    """Dispatches typed events to sinks, tracking a span (phase) stack."""
+    """Dispatches typed events to sinks, tracking a span (phase) stack.
+
+    Besides :meth:`span`, there is one emit method per event kind, named
+    after the kind (``round``, ``charge``, ``serve_request``, ...).  It
+    takes the event's fields except ``span``, positionally or by keyword,
+    and stamps the current span path.
+    """
 
     #: Emitters skip event construction entirely when this is False.
     active = True
@@ -79,82 +72,6 @@ class Recorder:
         for sink in self.sinks:
             sink.handle(event)
 
-    def round(
-        self,
-        round_no: int,
-        messages: int,
-        bits: int,
-        mode: str = "",
-        model: str = "",
-    ) -> None:
-        self.emit(
-            RoundEvent(round_no, messages, bits, self._span_path, mode, model)
-        )
-
-    def deliver(
-        self, round_no: int, src: int, dst: int, bits: int, value: Any = None
-    ) -> None:
-        self.emit(DeliverEvent(round_no, src, dst, bits, value, self._span_path))
-
-    def fault(
-        self,
-        fault: str,
-        round_no: int,
-        src: int,
-        dst: int,
-        bits: int = 0,
-        value: Any = None,
-    ) -> None:
-        self.emit(FaultEvent(fault, round_no, src, dst, bits, value, self._span_path))
-
-    def query_batch(self, size: int, label: str = "") -> None:
-        self.emit(QueryBatchEvent(size, label, self._span_path))
-
-    def charge(self, phase: str, rounds: int, model: str = "") -> None:
-        self.emit(ChargeEvent(phase, rounds, self._span_path, model))
-
-    def coalesce(
-        self,
-        size: int,
-        submissions: int,
-        callers: int,
-        rounds: int,
-        memo: str = "miss",
-    ) -> None:
-        self.emit(
-            CoalesceEvent(size, submissions, callers, rounds, memo,
-                          self._span_path)
-        )
-
-    def serve_request(
-        self, tenant: str, queries: int, status: str, wait_ms: float = 0.0
-    ) -> None:
-        self.emit(
-            ServeRequestEvent(tenant, queries, status, wait_ms,
-                              self._span_path)
-        )
-
-    def serve_batch(
-        self, lane: str, size: int, tenants: int, rounds: int
-    ) -> None:
-        self.emit(ServeBatchEvent(lane, size, tenants, rounds, self._span_path))
-
-    def serve_drain(self, reason: str, flushed: int, abandoned: int) -> None:
-        self.emit(ServeDrainEvent(reason, flushed, abandoned, self._span_path))
-
-    def scenario(
-        self, scenario: str, link: str, rounds: int, wall_clock_us: float
-    ) -> None:
-        self.emit(
-            ScenarioEvent(scenario, link, rounds, wall_clock_us,
-                          self._span_path)
-        )
-
-    def sketch(
-        self, sketch: str, op: str, count: int, memo: str = ""
-    ) -> None:
-        self.emit(SketchEvent(sketch, op, count, memo, self._span_path))
-
     # -- spans ----------------------------------------------------------
 
     @property
@@ -180,8 +97,8 @@ class NullRecorder(Recorder):
     """The disabled bus: every operation is a no-op.
 
     Emitters should still guard on :attr:`active` so the disabled path
-    never constructs event objects; these overrides are the backstop for
-    call sites that don't.
+    never constructs event objects; the no-op emit methods are the
+    backstop for call sites that don't.
     """
 
     active = False
@@ -195,41 +112,36 @@ class NullRecorder(Recorder):
     def emit(self, event) -> None:
         pass
 
-    def round(self, round_no, messages, bits, mode="", model="") -> None:
-        pass
-
-    def deliver(self, round_no, src, dst, bits, value=None) -> None:
-        pass
-
-    def fault(self, fault, round_no, src, dst, bits=0, value=None) -> None:
-        pass
-
-    def query_batch(self, size, label="") -> None:
-        pass
-
-    def charge(self, phase, rounds, model="") -> None:
-        pass
-
-    def coalesce(self, size, submissions, callers, rounds, memo="miss") -> None:
-        pass
-
-    def serve_request(self, tenant, queries, status, wait_ms=0.0) -> None:
-        pass
-
-    def serve_batch(self, lane, size, tenants, rounds) -> None:
-        pass
-
-    def serve_drain(self, reason, flushed, abandoned) -> None:
-        pass
-
-    def scenario(self, scenario, link, rounds, wall_clock_us) -> None:
-        pass
-
-    def sketch(self, sketch, op, count, memo="") -> None:
-        pass
-
     def span(self, name: str):
         return nullcontext(self)
+
+
+def _emitter(cls: type, name: str):
+    """The :class:`Recorder` method that emits one ``cls`` event."""
+
+    def emit(self, *fields, **named) -> None:
+        self.emit(cls(*fields, span=self._span_path, **named))
+
+    emit.__name__ = name
+    emit.__qualname__ = f"Recorder.{name}"
+    emit.__doc__ = f"Emit one :class:`{cls.__name__}` at the current span."
+    return emit
+
+
+def _ignore(self, *fields, **named) -> None:
+    """Drop the event unconstructed (the recorder is disabled)."""
+
+
+def _bind_emitters() -> None:
+    """Give both recorders one method per event kind but ``span``."""
+    for kind, cls in _CLASSES.items():
+        if kind != SPAN:
+            name = kind.replace(".", "_")
+            setattr(Recorder, name, _emitter(cls, name))
+            setattr(NullRecorder, name, _ignore)
+
+
+_bind_emitters()
 
 
 #: The process-wide disabled recorder (shared; stateless).

@@ -14,7 +14,9 @@ writer in :mod:`repro.obs.jsonl` next to its schema validator.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+import copy
+import operator
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .events import (
     CHARGE,
@@ -55,6 +57,103 @@ class MemorySink(Sink):
         return [e for e in self.events if e.kind == kind]
 
 
+def _add_per_key(mine: dict, theirs: dict) -> dict:
+    for key, value in theirs.items():
+        mine[key] = mine.get(key, 0) + value
+    return mine
+
+
+def _first_wins(mine: dict, theirs: dict) -> dict:
+    for key, value in theirs.items():
+        mine.setdefault(key, value)
+    return mine
+
+
+def _append_unique(mine: list, theirs: list) -> list:
+    for item in theirs:
+        if item not in mine:
+            mine.append(item)
+    return mine
+
+
+#: merge rule -> (empty value, fold another sink's value into ours).
+_RULES: Dict[str, Tuple[type, Callable[[Any, Any], Any]]] = {
+    "sum": (int, operator.add),
+    # handle() keeps the highest round number seen, and round numbers
+    # restart per engine run, so shards take the max.
+    "max": (int, max),
+    "per-key sum": (dict, _add_per_key),
+    "first wins": (dict, _first_wins),
+    "ordered unique": (list, _append_unique),
+}
+
+
+def _encode_edges(edge_bits: Dict[Tuple[int, int], int]) -> Dict[str, int]:
+    return {f"{src},{dst}": bits for (src, dst), bits in edge_bits.items()}
+
+
+def _decode_edges(state: Dict[str, int]) -> Dict[Tuple[int, int], int]:
+    return {
+        tuple(int(part) for part in key.split(",")): bits
+        for key, bits in state.items()
+    }
+
+
+#: Every :class:`MetricsSink` counter, in snapshot order: ``(name, merge
+#: rule)``.  ``__init__``, ``merge``, ``to_state`` and ``from_state`` are
+#: loops over this table; ``handle`` gives the counters their meaning.
+_COUNTERS: Tuple[Tuple[str, str], ...] = (
+    ("engine_rounds", "max"),
+    ("vectorized_rounds", "sum"),
+    # rounds run under a non-default communication model, per model
+    # name; default-CONGEST rounds carry no model tag.
+    ("rounds_by_model", "per-key sum"),
+    # ledger rounds charged under a non-default model, per model.
+    ("charged_by_model", "per-key sum"),
+    ("messages", "sum"),
+    ("bits", "sum"),
+    # payload bits per directed edge (src, dst).
+    ("edge_bits", "per-key sum"),
+    ("fault_counts", "per-key sum"),
+    ("query_batches", "sum"),
+    ("total_queries", "sum"),
+    ("batches_by_label", "per-key sum"),
+    ("charge_events", "sum"),
+    ("charges_by_phase", "per-key sum"),
+    # the span each phase was first charged under.
+    ("phase_span", "first wins"),
+    ("charged_by_span", "per-key sum"),
+    ("span_names", "ordered unique"),
+    ("coalesced_batches", "sum"),
+    ("coalesced_queries", "sum"),
+    ("coalesced_submissions", "sum"),
+    ("coalesce_rounds", "sum"),
+    ("memo_hits", "sum"),
+    ("memo_misses", "sum"),
+    ("memo_evictions", "sum"),
+    ("serve_requests", "per-key sum"),  # status -> count
+    ("serve_queries", "sum"),
+    ("serve_batches", "sum"),
+    ("serve_batch_rounds", "sum"),
+    ("serve_drains", "sum"),
+    ("scenario_events", "sum"),
+    # accumulated wall-clock microseconds per link model name.
+    ("wall_clock_by_link", "per-key sum"),
+    # physical sketch operations by op kind, summing payload widths;
+    # memo-edge sketch events land in sketch_memo instead.
+    ("sketch_ops", "per-key sum"),
+    # sketch-lane memo edges by outcome ("hit"/"invalidate").
+    ("sketch_memo", "per-key sum"),
+    # memo entries dropped by write-path invalidation.
+    ("memo_invalidations", "sum"),
+)
+
+#: counter -> (to_state encoder, from_state decoder) where JSON needs one;
+#: every other counter is copied as is.
+_CODECS = {"edge_bits": (_encode_edges, _decode_edges)}
+_PLAIN = (copy.copy, copy.copy)
+
+
 class MetricsSink(Sink):
     """Aggregating counters: the one-pass metrics registry.
 
@@ -65,52 +164,9 @@ class MetricsSink(Sink):
     """
 
     def __init__(self):
-        self.engine_rounds = 0
-        self.vectorized_rounds = 0
-        #: rounds executed under a *non-default* communication model,
-        #: keyed by model name (``"congest-clique"``, ``"local"``);
-        #: default-CONGEST rounds carry no model tag and are not counted
-        #: here (they are the pre-model baseline).
-        self.rounds_by_model: Dict[str, int] = {}
-        #: ledger rounds charged under a non-default model, per model.
-        self.charged_by_model: Dict[str, int] = {}
-        self.messages = 0
-        self.bits = 0
-        self.edge_bits: Dict[Tuple[int, int], int] = {}
-        self.fault_counts: Dict[str, int] = {}
-        self.query_batches = 0
-        self.total_queries = 0
-        self.batches_by_label: Dict[str, int] = {}
-        self.charge_events = 0
-        self.charges_by_phase: Dict[str, int] = {}
-        self.phase_span: Dict[str, str] = {}
-        self.charged_by_span: Dict[str, int] = {}
-        self.span_names: List[str] = []
-        self.coalesced_batches = 0
-        self.coalesced_queries = 0
-        self.coalesced_submissions = 0
-        self.coalesce_rounds = 0
-        self.memo_hits = 0
-        self.memo_misses = 0
-        self.memo_evictions = 0
-        self.serve_requests: Dict[str, int] = {}  # status -> count
-        self.serve_queries = 0
-        self.serve_batches = 0
-        self.serve_batch_rounds = 0
-        self.serve_drains = 0
-        self.scenario_events = 0
-        #: accumulated wall-clock microseconds per link model name.
-        self.wall_clock_by_link: Dict[str, float] = {}
-        #: physical sketch operations by op kind (insert/query/compose),
-        #: summing payload widths.  Memo-edge sketch events (``memo``
-        #: non-empty) are *not* counted here — a memo-hit query never
-        #: touches the state — they land in ``sketch_memo`` instead.
-        self.sketch_ops: Dict[str, int] = {}
-        #: sketch-lane memo edges by outcome ("hit"/"invalidate").
-        self.sketch_memo: Dict[str, int] = {}
-        #: memo entries dropped by write-path invalidation (``coalesce``
-        #: events with ``memo="invalidate"``, sized by entries dropped).
-        self.memo_invalidations = 0
+        for name, rule in _COUNTERS:
+            empty, _fold = _RULES[rule]
+            setattr(self, name, empty())
 
     def handle(self, event) -> None:
         kind = event.kind
@@ -122,22 +178,17 @@ class MetricsSink(Sink):
         elif kind == ROUND:
             if event.round_no > self.engine_rounds:
                 self.engine_rounds = event.round_no
-            # getattr: tolerate pre-vectorization RoundEvents replayed
-            # from old traces (no ``mode`` field).
-            if getattr(event, "mode", "") == "vectorized":
+            if event.mode == "vectorized":
                 self.vectorized_rounds += 1
-            # Same tolerance for pre-model events (no ``model`` field).
-            model = getattr(event, "model", "")
-            if model:
-                self.rounds_by_model[model] = (
-                    self.rounds_by_model.get(model, 0) + 1
+            if event.model:
+                self.rounds_by_model[event.model] = (
+                    self.rounds_by_model.get(event.model, 0) + 1
                 )
         elif kind == CHARGE:
             self.charge_events += 1
-            model = getattr(event, "model", "")
-            if model:
-                self.charged_by_model[model] = (
-                    self.charged_by_model.get(model, 0) + event.rounds
+            if event.model:
+                self.charged_by_model[event.model] = (
+                    self.charged_by_model.get(event.model, 0) + event.rounds
                 )
             self.charges_by_phase[event.phase] = (
                 self.charges_by_phase.get(event.phase, 0) + event.rounds
@@ -217,71 +268,10 @@ class MetricsSink(Sink):
 
         Returns ``self`` so merges chain/reduce.
         """
-        self.engine_rounds = max(self.engine_rounds, other.engine_rounds)
-        # Unlike the high-water engine_rounds, fast-path rounds are a
-        # plain event count, so shards sum.
-        self.vectorized_rounds += other.vectorized_rounds
-        for model, count in other.rounds_by_model.items():
-            self.rounds_by_model[model] = (
-                self.rounds_by_model.get(model, 0) + count
-            )
-        for model, rounds in other.charged_by_model.items():
-            self.charged_by_model[model] = (
-                self.charged_by_model.get(model, 0) + rounds
-            )
-        self.messages += other.messages
-        self.bits += other.bits
-        for edge, bits in other.edge_bits.items():
-            self.edge_bits[edge] = self.edge_bits.get(edge, 0) + bits
-        for fault, count in other.fault_counts.items():
-            self.fault_counts[fault] = self.fault_counts.get(fault, 0) + count
-        self.query_batches += other.query_batches
-        self.total_queries += other.total_queries
-        for label, count in other.batches_by_label.items():
-            self.batches_by_label[label] = (
-                self.batches_by_label.get(label, 0) + count
-            )
-        self.charge_events += other.charge_events
-        for phase, rounds in other.charges_by_phase.items():
-            self.charges_by_phase[phase] = (
-                self.charges_by_phase.get(phase, 0) + rounds
-            )
-        for phase, span in other.phase_span.items():
-            self.phase_span.setdefault(phase, span)
-        for span, rounds in other.charged_by_span.items():
-            self.charged_by_span[span] = (
-                self.charged_by_span.get(span, 0) + rounds
-            )
-        for name in other.span_names:
-            if name not in self.span_names:
-                self.span_names.append(name)
-        self.coalesced_batches += other.coalesced_batches
-        self.coalesced_queries += other.coalesced_queries
-        self.coalesced_submissions += other.coalesced_submissions
-        self.coalesce_rounds += other.coalesce_rounds
-        self.memo_hits += other.memo_hits
-        self.memo_misses += other.memo_misses
-        self.memo_evictions += other.memo_evictions
-        for status, count in other.serve_requests.items():
-            self.serve_requests[status] = (
-                self.serve_requests.get(status, 0) + count
-            )
-        self.serve_queries += other.serve_queries
-        self.serve_batches += other.serve_batches
-        self.serve_batch_rounds += other.serve_batch_rounds
-        self.serve_drains += other.serve_drains
-        self.scenario_events += other.scenario_events
-        for link, us in other.wall_clock_by_link.items():
-            self.wall_clock_by_link[link] = (
-                self.wall_clock_by_link.get(link, 0.0) + us
-            )
-        for op, count in other.sketch_ops.items():
-            self.sketch_ops[op] = self.sketch_ops.get(op, 0) + count
-        for outcome, count in other.sketch_memo.items():
-            self.sketch_memo[outcome] = (
-                self.sketch_memo.get(outcome, 0) + count
-            )
-        self.memo_invalidations += other.memo_invalidations
+        for name, rule in _COUNTERS:
+            _empty, fold = _RULES[rule]
+            mine, theirs = getattr(self, name), getattr(other, name)
+            setattr(self, name, fold(mine, theirs))
         return self
 
     # -- checkpoint serialization ---------------------------------------
@@ -293,97 +283,24 @@ class MetricsSink(Sink):
         through :meth:`from_state` exactly; edge keys are rendered as
         ``"src,dst"`` strings because JSON objects cannot key on tuples.
         """
-        return {
-            "engine_rounds": self.engine_rounds,
-            "vectorized_rounds": self.vectorized_rounds,
-            "rounds_by_model": dict(self.rounds_by_model),
-            "charged_by_model": dict(self.charged_by_model),
-            "messages": self.messages,
-            "bits": self.bits,
-            "edge_bits": {
-                f"{src},{dst}": bits
-                for (src, dst), bits in self.edge_bits.items()
-            },
-            "fault_counts": dict(self.fault_counts),
-            "query_batches": self.query_batches,
-            "total_queries": self.total_queries,
-            "batches_by_label": dict(self.batches_by_label),
-            "charge_events": self.charge_events,
-            "charges_by_phase": dict(self.charges_by_phase),
-            "phase_span": dict(self.phase_span),
-            "charged_by_span": dict(self.charged_by_span),
-            "span_names": list(self.span_names),
-            "coalesced_batches": self.coalesced_batches,
-            "coalesced_queries": self.coalesced_queries,
-            "coalesced_submissions": self.coalesced_submissions,
-            "coalesce_rounds": self.coalesce_rounds,
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            "memo_evictions": self.memo_evictions,
-            "serve_requests": dict(self.serve_requests),
-            "serve_queries": self.serve_queries,
-            "serve_batches": self.serve_batches,
-            "serve_batch_rounds": self.serve_batch_rounds,
-            "serve_drains": self.serve_drains,
-            "scenario_events": self.scenario_events,
-            "wall_clock_by_link": dict(self.wall_clock_by_link),
-            "sketch_ops": dict(self.sketch_ops),
-            "sketch_memo": dict(self.sketch_memo),
-            "memo_invalidations": self.memo_invalidations,
-        }
+        state = {}
+        for name, _rule in _COUNTERS:
+            encode, _decode = _CODECS.get(name, _PLAIN)
+            state[name] = encode(getattr(self, name))
+        return state
 
     @classmethod
     def from_state(cls, state: Dict[str, Any]) -> "MetricsSink":
-        """Rebuild a sink from a :meth:`to_state` snapshot."""
+        """Rebuild a sink from a :meth:`to_state` snapshot.
+
+        Counters added after a snapshot was taken are absent from it and
+        load as zero, so older snapshots stay loadable.
+        """
         sink = cls()
-        sink.engine_rounds = state["engine_rounds"]
-        # Vectorized-round accounting arrived with the bulk engine
-        # (PR 7); default so earlier snapshots still load.
-        sink.vectorized_rounds = state.get("vectorized_rounds", 0)
-        # Per-model accounting arrived with the communication-model
-        # layer (PR 8); same backward-compat defaulting.
-        sink.rounds_by_model = dict(state.get("rounds_by_model", {}))
-        sink.charged_by_model = dict(state.get("charged_by_model", {}))
-        sink.messages = state["messages"]
-        sink.bits = state["bits"]
-        sink.edge_bits = {
-            tuple(int(part) for part in key.split(",")): bits
-            for key, bits in state["edge_bits"].items()
-        }
-        sink.fault_counts = dict(state["fault_counts"])
-        sink.query_batches = state["query_batches"]
-        sink.total_queries = state["total_queries"]
-        sink.batches_by_label = dict(state["batches_by_label"])
-        sink.charge_events = state["charge_events"]
-        sink.charges_by_phase = dict(state["charges_by_phase"])
-        sink.phase_span = dict(state["phase_span"])
-        sink.charged_by_span = dict(state["charged_by_span"])
-        sink.span_names = list(state["span_names"])
-        # Coalesce counters arrived after repro-checkpoint/1 shipped;
-        # default to zero so pre-scheduler snapshots still load.
-        sink.coalesced_batches = state.get("coalesced_batches", 0)
-        sink.coalesced_queries = state.get("coalesced_queries", 0)
-        sink.coalesced_submissions = state.get("coalesced_submissions", 0)
-        sink.coalesce_rounds = state.get("coalesce_rounds", 0)
-        sink.memo_hits = state.get("memo_hits", 0)
-        sink.memo_misses = state.get("memo_misses", 0)
-        # Memo eviction and serve counters arrived with the serving
-        # daemon (PR 6); same backward-compat defaulting.
-        sink.memo_evictions = state.get("memo_evictions", 0)
-        sink.serve_requests = dict(state.get("serve_requests", {}))
-        sink.serve_queries = state.get("serve_queries", 0)
-        sink.serve_batches = state.get("serve_batches", 0)
-        sink.serve_batch_rounds = state.get("serve_batch_rounds", 0)
-        sink.serve_drains = state.get("serve_drains", 0)
-        # Scenario counters arrived with the scenario matrix (PR 9);
-        # same backward-compat defaulting.
-        sink.scenario_events = state.get("scenario_events", 0)
-        sink.wall_clock_by_link = dict(state.get("wall_clock_by_link", {}))
-        # Sketch counters arrived with the sketch serving layer (PR 10);
-        # same backward-compat defaulting.
-        sink.sketch_ops = dict(state.get("sketch_ops", {}))
-        sink.sketch_memo = dict(state.get("sketch_memo", {}))
-        sink.memo_invalidations = state.get("memo_invalidations", 0)
+        for name, _rule in _COUNTERS:
+            if name in state:
+                _encode, decode = _CODECS.get(name, _PLAIN)
+                setattr(sink, name, decode(state[name]))
         return sink
 
     # -- derived --------------------------------------------------------

@@ -161,9 +161,8 @@ class SketchScheduler:
     def submit(self, operation: Operation) -> Ticket:
         """Enqueue one sketch operation (insert or item query), FIFO.
 
-        Unlike the oracle scheduler there is no legacy positional form —
-        sketch lanes were born after the :class:`~repro.core.operation.
-        Operation` API and only speak it.
+        Anything but an :class:`~repro.core.operation.Operation` is a
+        ``TypeError``.
         """
         if not isinstance(operation, Operation):
             raise TypeError(

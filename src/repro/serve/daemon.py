@@ -46,7 +46,6 @@ from __future__ import annotations
 import asyncio
 import signal
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -218,21 +217,14 @@ class QueryService:
     # -- client API ------------------------------------------------------
 
     def submit(
-        self,
-        operation: Any,
-        indices: Optional[Sequence[int]] = None,
-        label: str = "",
-        profile: str = DEFAULT_PROFILE,
+        self, operation: Operation, *, profile: str = DEFAULT_PROFILE
     ) -> "asyncio.Future[ServeResult]":
         """Admit one operation; returns the future carrying its values.
 
-        The canonical form is ``submit(Operation.query(tenant, indices),
+        Called as ``submit(Operation.query(tenant, indices),
         profile=...)`` — or ``Operation.insert`` / ``Operation.
-        sketch_query`` against a sketch profile.  The pre-PR 10
-        positional form ``submit(tenant, indices, label=...)`` still
-        works but raises a :class:`DeprecationWarning`; it builds the
-        identical Operation internally.  The tenant is the operation's
-        ``caller``.
+        sketch_query`` against a sketch profile.  The tenant is the
+        operation's ``caller``.
 
         Must be called on the service's event loop.  Raises
         :class:`ServiceClosed` after drain starts,
@@ -240,21 +232,6 @@ class QueryService:
         quota exhaustion, and ``KeyError`` for an unknown profile or an
         unknown tenant without a default quota.
         """
-        if not isinstance(operation, Operation):
-            warnings.warn(
-                "QueryService.submit(tenant, indices, label=...) is "
-                "deprecated; pass Operation.query(tenant, indices, label)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            operation = Operation.query(
-                str(operation), tuple(indices or ()), label=label
-            )
-        elif indices is not None:
-            raise TypeError(
-                "submit(Operation, ...) takes no separate indices; the "
-                "payload lives inside the Operation"
-            )
         if self._draining:
             raise ServiceClosed("service is draining; submission refused")
         if profile not in self._lane_state:

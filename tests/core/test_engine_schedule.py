@@ -47,15 +47,6 @@ class TestValidation:
     def test_default_is_active(self):
         assert FrameworkConfig(parallelism=1).engine_schedule == "active"
 
-    def test_legacy_shim_does_not_accept_it(self, network, di):
-        # The flat pre-config signature is frozen; new knobs are
-        # config-only so the shim never grows.
-        with pytest.raises(TypeError, match="engine_schedule"):
-            run_framework(
-                network, algorithm, parallelism=2, dist_input=di,
-                engine_schedule="vectorized",
-            )
-
 
 class TestEquivalence:
     @pytest.mark.parametrize("mode", ["formula", "engine"])

@@ -1,4 +1,4 @@
-"""FrameworkConfig: validation, shim↔config equivalence, cache tripwire."""
+"""FrameworkConfig: validation, call shape, cache tripwire."""
 
 import dataclasses
 
@@ -65,37 +65,7 @@ class TestConfigValidation:
 
 
 class TestShimEquivalence:
-    """The legacy flat signature must be a pure spelling of config=."""
-
-    @pytest.mark.parametrize("mode", ["formula", "engine"])
-    def test_bit_identical_results(self, network, di, mode):
-        canonical = run_framework(
-            network, algorithm, config=FrameworkConfig(
-                parallelism=2, dist_input=di, mode=mode, seed=9,
-            ),
-        )
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = run_framework(
-                network, algorithm, parallelism=2, dist_input=di,
-                mode=mode, seed=9,
-            )
-        assert legacy.result == canonical.result
-        assert legacy.rounds.by_phase() == canonical.rounds.by_phase()
-        assert (
-            legacy.query_ledger.signature()
-            == canonical.query_ledger.signature()
-        )
-        assert legacy.leader == canonical.leader
-
-    def test_positional_legacy_args_accepted(self, network, di):
-        with pytest.warns(DeprecationWarning):
-            run = run_framework(network, algorithm, 2, di)
-        assert run.query_ledger.batches == 2
-
-    def test_config_plus_legacy_rejected(self, network, di):
-        cfg = FrameworkConfig(parallelism=2, dist_input=di)
-        with pytest.raises(TypeError, match="not both"):
-            run_framework(network, algorithm, parallelism=2, config=cfg)
+    """Only ``config=`` is accepted; the flat signature is gone."""
 
     def test_no_arguments_rejected(self, network):
         with pytest.raises(TypeError, match="config="):
@@ -107,14 +77,6 @@ class TestShimEquivalence:
                 network, algorithm, parallelism=2, dist_input=di,
                 typo_field=1,
             )
-
-    def test_duplicated_argument_rejected(self, network, di):
-        with pytest.raises(TypeError, match="multiple values"):
-            run_framework(network, algorithm, 2, parallelism=2, dist_input=di)
-
-    def test_missing_parallelism_rejected(self, network, di):
-        with pytest.raises(TypeError, match="parallelism"):
-            run_framework(network, algorithm, dist_input=di)
 
 
 class TestStaleCacheTripwire:

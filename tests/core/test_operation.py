@@ -1,10 +1,10 @@
-"""Operation/OperationStream: validation, and legacy-shim equivalence."""
+"""Operation/OperationStream: validation, and the oracle lane's submit."""
 
 import pytest
 
 from repro.core.operation import OPERATION_KINDS, Operation, OperationStream
 from repro.sched import CoalescingScheduler
-from repro.serve import QueryService, TenantQuota, build_profile
+from repro.serve import build_profile
 
 NET, CFG = build_profile(rows=2, cols=2, k=8, parallelism=4)
 
@@ -105,23 +105,10 @@ class TestOperationStream:
 
 
 class TestSchedulerShim:
-    """The legacy positional signature warns but stays equivalent."""
+    """The oracle lane's submit takes one read Operation and nothing else."""
 
     def make(self):
         return CoalescingScheduler(NET, CFG, memo=False)
-
-    def test_legacy_submit_warns_and_matches(self):
-        canonical = self.make()
-        t1 = canonical.submit(Operation.query("a", [0, 3, 5], label="x"))
-        canonical.drain()
-
-        legacy = self.make()
-        with pytest.warns(DeprecationWarning):
-            t2 = legacy.submit("a", [0, 3, 5], label="x")
-        legacy.drain()
-
-        assert canonical.result(t1) == legacy.result(t2)
-        assert t2.caller == "a"
 
     def test_operation_plus_indices_is_an_error(self):
         sched = self.make()
@@ -137,24 +124,3 @@ class TestSchedulerShim:
         sched = self.make()
         with pytest.raises(ValueError, match="SketchScheduler"):
             sched.submit(Operation.sketch_query("a", ["key-1"]))
-
-
-class TestDaemonShim:
-    def test_legacy_submit_warns_and_matches(self):
-        import asyncio
-
-        async def drive():
-            service = QueryService(
-                default_quota=TenantQuota("default", max_pending=64),
-                flush_after_ms=1.0,
-            )
-            service.add_profile(NET, CFG)
-            canonical = await service.submit(Operation.query("t", [1, 2]))
-            with pytest.warns(DeprecationWarning):
-                legacy_fut = service.submit("t", [1, 2])
-            legacy = await legacy_fut
-            await service.drain()
-            return canonical, legacy
-
-        canonical, legacy = asyncio.run(drive())
-        assert canonical.values == legacy.values

@@ -147,4 +147,4 @@ class TestRunnerValidation:
         from repro.experiments.runner import verify_experiment
 
         with pytest.raises(KeyError, match="available"):
-            verify_experiment("E99")
+            verify_experiment(RunRequest(experiments=("E99",)))

@@ -1,4 +1,4 @@
-"""RunRequest: validation, target resolution, and runner shim equivalence."""
+"""RunRequest: validation, target resolution, and the verify sweep."""
 
 import pytest
 
@@ -52,38 +52,6 @@ class TestValidation:
         assert RunRequest(experiments=("E15",)).single_target() == "E15"
         with pytest.raises(ValueError):
             RunRequest(experiments=("E15", "E17")).single_target()
-
-
-class TestShimEquivalence:
-    """The legacy flat runner signatures must match RunRequest verbatim."""
-
-    def test_verify_experiment_shim(self):
-        canonical = verify_experiment(RunRequest(experiments=("E15",)))
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = verify_experiment("E15", quick=True, seed=0)
-        assert legacy == canonical
-
-    def test_verify_all_shim(self):
-        canonical = verify_all(RunRequest(experiments=("E15", "E17")))
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = verify_all(only=["E15", "E17"])
-        assert legacy == canonical
-
-    def test_run_experiment_shim(self):
-        canonical = run_experiment(RunRequest(experiments=("E15",)))
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = run_experiment("E15", quick=True, seed=0)
-        assert list(legacy) == list(canonical) == ["E15"]
-        assert type(legacy["E15"]) is type(canonical["E15"])
-
-    def test_request_plus_flat_params_rejected(self):
-        with pytest.raises(TypeError, match="ride on the RunRequest"):
-            run_experiment(RunRequest(experiments=("E15",)), quick=False)
-
-    def test_unknown_legacy_experiment_rejected(self):
-        # Validated against the registry before the shim warns.
-        with pytest.raises(KeyError):
-            verify_experiment("E99")
 
 
 class TestVerifySweep:
