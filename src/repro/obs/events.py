@@ -343,7 +343,7 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
-#: The twelve event kinds, as they appear in JSONL ``type`` fields.
+#: Every declared event kind, in declaration order.
 EVENT_KINDS = tuple(_CLASSES)
 
 
