@@ -229,6 +229,14 @@ class RoundLedger:
     The ledger's list-of-charges semantics are unchanged — emission is a
     side channel, and the spine's charge stream matches ``self.charges``
     entry for entry (merges excepted, see :meth:`merge`).
+
+    :attr:`total` and :meth:`by_phase` read running totals that
+    :meth:`charge` and :meth:`merge` keep in step with ``charges``, so a
+    read costs O(1) (O(phases) for the copy) however long the ledger
+    has lived — a serving daemon reads its lane ledger around every
+    batch.  Equal ``(phase, rounds)`` entries share one tuple, so a
+    long history costs one list slot per charge.  Change ``charges``
+    only through those two methods.
     """
 
     charges: List[Tuple[str, int]] = field(default_factory=list)
@@ -238,25 +246,43 @@ class RoundLedger:
     #: are byte-identical; see :class:`repro.obs.events.ChargeEvent`).
     #: The list-of-charges semantics ignore it entirely.
     model: str = field(default="", compare=False)
+    _total: int = field(default=0, init=False, compare=False, repr=False)
+    _phases: Dict[str, int] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    _entries: Dict[Tuple[str, int], Tuple[str, int]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        for phase, rounds in self.charges:
+            self._count(phase, rounds)
+
+    def _count(self, phase: str, rounds: int) -> None:
+        self._total += rounds
+        self._phases[phase] = self._phases.get(phase, 0) + rounds
+
+    def _append(self, phase: str, rounds: int) -> None:
+        entry = (phase, rounds)
+        self.charges.append(self._entries.setdefault(entry, entry))
+        self._count(phase, rounds)
 
     def charge(self, phase: str, rounds: int) -> None:
         """Record ``rounds`` against ``phase`` and emit a charge event."""
         if rounds < 0:
             raise ValueError(f"negative round charge for phase {phase!r}")
-        self.charges.append((phase, rounds))
+        self._append(phase, rounds)
         rec = self.recorder if self.recorder is not None else current_recorder()
         if rec.active:
             rec.charge(phase, rounds, self.model)
 
     @property
     def total(self) -> int:
-        return sum(r for _, r in self.charges)
+        return self._total
 
     def by_phase(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for phase, rounds in self.charges:
-            out[phase] = out.get(phase, 0) + rounds
-        return out
+        """Rounds per phase, keys in first-charge order (a fresh copy)."""
+        return dict(self._phases)
 
     def wall_clock_us(self, link: LinkCostModel, word_bits: int) -> float:
         """Total charged rounds re-denominated into microseconds."""
@@ -299,9 +325,9 @@ class RoundLedger:
                 f"on_collision must be 'add' or 'error', got {on_collision!r}"
             )
         if on_collision == "error":
-            existing = {phase for phase, _ in self.charges}
             colliding = sorted(
-                {prefix + phase for phase, _ in other.charges} & existing
+                {prefix + phase for phase in other._phases}
+                & self._phases.keys()
             )
             if colliding:
                 raise ValueError(
@@ -311,4 +337,4 @@ class RoundLedger:
         for phase, rounds in other.charges:
             if rounds < 0:
                 raise ValueError(f"negative round charge for phase {phase!r}")
-            self.charges.append((prefix + phase, rounds))
+            self._append(prefix + phase, rounds)

@@ -11,12 +11,17 @@ observability spine (:mod:`repro.obs`), so a single event stream carries
 query accounting next to engine rounds and ledger charges.  The ledger's
 own records and semantics (including :class:`ParallelismViolation`) are
 unchanged; emission happens only after a batch passes validation.
+
+A ledger lives as long as its caller — for a serving daemon, its whole
+uptime — so it keeps a running ``total_queries`` and stores one shared
+:class:`BatchRecord` per distinct ``(size, label)``: each metered batch
+costs one list slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..obs.recorder import Recorder, current_recorder
 
@@ -32,9 +37,9 @@ class ParallelismViolation(ValueError):
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatchRecord:
-    """One recorded oracle batch."""
+    """One recorded oracle batch (immutable, so a ledger shares equal ones)."""
 
     size: int
     label: str = ""
@@ -57,13 +62,19 @@ class QueryLedger:
         self.parallelism = parallelism
         self.records: List[BatchRecord] = []
         self.recorder = recorder
+        self._total_queries = 0
+        self._shared: Dict[Tuple[int, str], BatchRecord] = {}
 
     def record(self, size: int, label: str = "") -> None:
         if size < 1:
             raise ValueError("a batch must contain at least one query")
         if size > self.parallelism:
             raise ParallelismViolation(size, self.parallelism)
-        self.records.append(BatchRecord(size=size, label=label))
+        record = self._shared.get((size, label))
+        if record is None:
+            record = self._shared[size, label] = BatchRecord(size, label)
+        self.records.append(record)
+        self._total_queries += size
         rec = self.recorder if self.recorder is not None else current_recorder()
         if rec.active:
             rec.query_batch(size, label)
@@ -75,7 +86,7 @@ class QueryLedger:
 
     @property
     def total_queries(self) -> int:
-        return sum(r.size for r in self.records)
+        return self._total_queries
 
     def batches_labeled(self, label: str) -> int:
         return sum(1 for r in self.records if r.label == label)
@@ -93,6 +104,7 @@ class QueryLedger:
 
     def reset(self) -> None:
         self.records.clear()
+        self._total_queries = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

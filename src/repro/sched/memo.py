@@ -8,7 +8,7 @@ the same content therefore receive bit-identical answers — the second
 distribute/convergecast is pure waste.  The memo exploits this with a
 content address::
 
-    (oracle fingerprint) x (sorted index tuple)  ->  {index: value}
+    (oracle fingerprint) x (sorted index tuple)  ->  (value, ...)
 
 The *oracle fingerprint* (:func:`oracle_fingerprint`) hashes everything
 the answer can depend on; a mutated input or a different topology yields
@@ -20,12 +20,16 @@ explicit write-path protocol: :meth:`ResultMemo.invalidate_fingerprint`
 drops every entry under one fingerprint, and the sketch scheduler calls
 it on every insert — a stale memo can never serve a pre-insert overlap.
 Index tuples are sorted (duplicates kept) so permuted submissions share
-one entry; values are stored per index and re-ordered to the submission
-order at serve time.
+one entry.  An entry is two flat tuples, ``(fingerprint, *sorted
+indices)`` mapped to the values aligned to those indices, re-ordered to
+the submission order at serve time; a daemon's memo holds one entry per
+distinct read it has served, so the layout is kept this small.
 
-The store is a bounded LRU (``max_entries``): inserting past capacity
-evicts the least-recently-used entry, and lookups refresh recency, so a
-long-lived serving daemon keeps the memo tracking its live traffic.
+Entries sit in one insertion-ordered ``dict`` kept in LRU order: a hit
+moves its entry to the end.  The store is unbounded by default; with
+``max_entries`` set, inserting past capacity evicts the
+least-recently-used entry, so a long-lived serving daemon keeps the
+memo tracking its live traffic.
 Hit/miss/evict counters feed the scheduler's ``coalesce`` events on the
 observability spine (:mod:`repro.obs`) and :class:`~repro.obs.sinks.
 MetricsSink` roll-ups.
@@ -34,7 +38,6 @@ MetricsSink` roll-ups.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..congest.network import Network
@@ -97,9 +100,9 @@ class ResultMemo:
     ):
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be positive when set")
-        self._entries: "OrderedDict[Tuple[str, Tuple[int, ...]], Dict[int, Any]]" = (
-            OrderedDict()
-        )
+        # (fingerprint, *sorted indices) -> values aligned to those
+        # indices, least recently used first.
+        self._entries: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
         self.max_entries = max_entries
         self._recorder = recorder
         self.hits = 0
@@ -111,8 +114,12 @@ class ResultMemo:
         return len(self._entries)
 
     @staticmethod
-    def _key(fingerprint: str, indices: Sequence[int]) -> Tuple[str, Tuple[int, ...]]:
-        return (fingerprint, tuple(sorted(indices)))
+    def _address(
+        fingerprint: str, indices: Sequence[int]
+    ) -> Tuple[Tuple[Any, ...], List[int]]:
+        """The entry key, and the submission positions in key order."""
+        order = sorted(range(len(indices)), key=indices.__getitem__)
+        return (fingerprint, *[indices[i] for i in order]), order
 
     def lookup(
         self, fingerprint: str, indices: Sequence[int]
@@ -122,14 +129,17 @@ class ResultMemo:
         A hit refreshes the entry's LRU recency: a daemon's hot addresses
         stay resident while one-shot submissions age out.
         """
-        key = self._key(fingerprint, indices)
-        entry = self._entries.get(key)
+        key, order = self._address(fingerprint, indices)
+        entry = self._entries.pop(key, None)
         if entry is None:
             self.misses += 1
             return None
-        self._entries.move_to_end(key)
+        self._entries[key] = entry
         self.hits += 1
-        return [entry[j] for j in indices]
+        values: List[Any] = [None] * len(order)
+        for i, value in zip(order, entry):
+            values[i] = value
+        return values
 
     def store(
         self, fingerprint: str, indices: Sequence[int], values: Sequence[Any]
@@ -147,18 +157,19 @@ class ResultMemo:
             raise ValueError(
                 f"{len(indices)} indices but {len(values)} values"
             )
-        key = self._key(fingerprint, indices)
-        self._entries[key] = dict(zip(indices, values))
-        self._entries.move_to_end(key)
+        key, order = self._address(fingerprint, indices)
+        self._entries.pop(key, None)
+        self._entries[key] = tuple([values[i] for i in order])
         if (
             self.max_entries is not None
             and len(self._entries) > self.max_entries
         ):
-            _, evicted = self._entries.popitem(last=False)
+            evicted = next(iter(self._entries))
+            del self._entries[evicted]
             self.evictions += 1
             if self._recorder is not None and self._recorder.active:
                 self._recorder.coalesce(
-                    size=len(evicted), submissions=0, callers=0,
+                    size=len(set(evicted[1:])), submissions=0, callers=0,
                     rounds=0, memo="evict",
                 )
 

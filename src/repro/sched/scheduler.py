@@ -41,7 +41,8 @@ under-filled batches.  The scheduler coalesces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..congest.network import Network
@@ -69,11 +70,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Ticket:
-    """Handle for one submission; redeem with ``scheduler.result(ticket)``."""
+    """Handle for one submission; redeem with ``scheduler.result(ticket)``.
+
+    The ticket owns its submission: a scheduler indexes submissions by
+    ticket id only weakly, so once a submission has executed it lives
+    exactly as long as some caller holds its ticket.  Nothing points
+    back from the submission, so dropping the last ticket frees it at
+    once.  A pending submission stays in the scheduler's queue.
+    """
 
     id: int
     caller: str
     size: int
+    _submission: Any = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -124,13 +133,12 @@ class _Submission:
     """One in-flight query set and its per-index completion state."""
 
     __slots__ = (
-        "ticket", "caller", "indices", "label", "values", "remaining",
-        "estimate", "cursor",
+        "caller", "indices", "label", "values", "remaining", "estimate",
+        "cursor", "__weakref__",
     )
 
-    def __init__(self, ticket: Ticket, caller: str, indices: List[int],
-                 label: str, estimate: int):
-        self.ticket = ticket
+    def __init__(self, caller: str, indices: List[int], label: str,
+                 estimate: int):
         self.caller = caller
         self.indices = indices
         self.label = label
@@ -243,9 +251,13 @@ class CoalescingScheduler:
                 )
 
         self._queue: List[_Submission] = []
+        self._pending = 0  # indices queued but not yet executed
         self._deferred_rounds = 0
         self._accounts: Dict[str, CallerAccount] = {}
-        self._by_ticket: Dict[int, _Submission] = {}
+        # Weak: a completed submission dies with its last Ticket.
+        self._by_ticket: "weakref.WeakValueDictionary[int, _Submission]" = (
+            weakref.WeakValueDictionary()
+        )
         self._next_ticket = 0
         self.physical_batches = 0
 
@@ -310,31 +322,33 @@ class CoalescingScheduler:
         acct.queries.record(len(indices), label=label)
         acct.submissions += 1
 
-        ticket = Ticket(id=self._next_ticket, caller=caller, size=len(indices))
+        ticket_id = self._next_ticket
         self._next_ticket += 1
 
         if self._memo is not None:
             cached = self._memo.lookup(self._fingerprint, indices)
             if cached is not None:
-                sub = _Submission(ticket, caller, indices, label, estimate=0)
+                sub = _Submission(caller, indices, label, estimate=0)
                 sub.values = cached
                 sub.remaining = 0
-                self._by_ticket[ticket.id] = sub
+                self._by_ticket[ticket_id] = sub
                 acct.memo_hits += 1
                 if self._recorder.active:
                     self._recorder.coalesce(
                         size=len(indices), submissions=1, callers=1,
                         rounds=0, memo="hit",
                     )
-                return ticket
+                return Ticket(ticket_id, caller, len(indices), sub)
 
         estimate = self._cost_model.batch_rounds(
             len(indices), self._q_bits, k
         )
-        sub = _Submission(ticket, caller, indices, label, estimate=estimate)
+        sub = _Submission(caller, indices, label, estimate=estimate)
         self._queue.append(sub)
-        self._by_ticket[ticket.id] = sub
+        self._by_ticket[ticket_id] = sub
+        self._pending += len(indices)
         self._deferred_rounds += estimate
+        ticket = Ticket(ticket_id, caller, len(indices), sub)
         if self.auto_flush:
             self._maybe_flush()
         return ticket
@@ -372,7 +386,7 @@ class CoalescingScheduler:
 
     @property
     def pending_queries(self) -> int:
-        return sum(s.remaining for s in self._queue)
+        return self._pending
 
     @property
     def rounds(self) -> RoundLedger:
@@ -445,10 +459,8 @@ class CoalescingScheduler:
         if not batch_indices:
             return 0
 
-        members = []  # submissions with >= 1 query in this batch, in order
-        for sub, _pos in slots:
-            if sub not in members:
-                members.append(sub)
+        # Submissions with >= 1 query in this batch, in order.
+        members = list(dict.fromkeys(sub for sub, _pos in slots))
         # A single-submission batch keeps that submission's own label so
         # serial-degenerate runs (deadline 0, or p = 1 single-caller)
         # charge under the exact phase keys a serial run would.
@@ -477,8 +489,10 @@ class CoalescingScheduler:
         for sub in completed:
             if self._memo is not None:
                 self._memo.store(self._fingerprint, sub.indices, sub.values)
-        self._queue = [s for s in self._queue if not s.done]
-        self._deferred_rounds = sum(s.estimate for s in self._queue)
+            self._deferred_rounds -= sub.estimate
+        if completed:
+            self._queue = [s for s in self._queue if not s.done]
+        self._pending -= len(batch_indices)
         self.physical_batches += 1
         if self._recorder.active:
             self._recorder.coalesce(

@@ -36,6 +36,7 @@ relevant cost axis, not CONGEST rounds.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -79,10 +80,9 @@ class SketchReport:
 class _SketchSubmission:
     """One in-flight operation and its completion state."""
 
-    __slots__ = ("ticket", "op", "values", "done")
+    __slots__ = ("op", "values", "done", "__weakref__")
 
-    def __init__(self, ticket: Ticket, op: Operation):
-        self.ticket = ticket
+    def __init__(self, op: Operation):
         self.op = op
         self.values: List[Any] = []
         self.done = False
@@ -131,7 +131,11 @@ class SketchScheduler:
         self._queue: List[_SketchSubmission] = []
         self._pending_inserts = 0
         self._accounts: Dict[str, SketchCallerAccount] = {}
-        self._by_ticket: Dict[int, _SketchSubmission] = {}
+        # Weak, as in CoalescingScheduler: a completed operation dies
+        # with its last Ticket.
+        self._by_ticket: "weakref.WeakValueDictionary[int, _SketchSubmission]" = (
+            weakref.WeakValueDictionary()
+        )
         self._next_ticket = 0
         self.physical_batches = 0
         self.memo_hits = 0
@@ -176,12 +180,12 @@ class SketchScheduler:
             )
         acct = self.account(operation.caller)
         acct.submissions += 1
+        sub = _SketchSubmission(operation)
         ticket = Ticket(
             id=self._next_ticket, caller=operation.caller,
-            size=operation.size,
+            size=operation.size, _submission=sub,
         )
         self._next_ticket += 1
-        sub = _SketchSubmission(ticket, operation)
         self._by_ticket[ticket.id] = sub
 
         if (

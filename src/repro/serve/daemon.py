@@ -289,6 +289,9 @@ class QueryService:
                 if not request.future.done():
                     request.future.set_exception(exc)
                 continue
+            # The ticket is the only strong reference to its executed
+            # submission: in_flight holds it until the future resolves,
+            # and then the lane keeps nothing of the request.
             if sched.done(ticket):  # memo hit: zero rounds, resolve now
                 self._complete(lane, state, ticket, request)
             else:
@@ -335,6 +338,7 @@ class QueryService:
         # Formula-mode batches never suspend above; still yield once per
         # batch so a flood of requests cannot starve client coroutines.
         await asyncio.sleep(0)
+        # A running total: O(1) however long the lane has served.
         delta = sched.rounds.total - before
         completed_ids = [
             tid for tid, (ticket, _req) in lane.in_flight.items()

@@ -174,6 +174,51 @@ class TestResultMemoStore:
         assert events[0].size == 2  # the evicted entry held two indices
         assert events[0].rounds == 0
 
+    def test_duplicate_indices_served_in_submission_order(self):
+        memo = ResultMemo()
+        memo.store("fp", [3, 3, 1], ["c", "c", "a"])
+        assert memo.lookup("fp", [3, 3, 1]) == ["c", "c", "a"]
+        assert memo.lookup("fp", [1, 3, 3]) == ["a", "c", "c"]
+        assert memo.lookup("fp", [3, 1, 3]) == ["c", "a", "c"]
+        assert len(memo) == 1 and memo.hits == 3
+
+    def test_duplicates_are_part_of_the_address(self):
+        memo = ResultMemo()
+        memo.store("fp", [3, 3, 1], ["c", "c", "a"])
+        assert memo.lookup("fp", [3, 1]) is None
+        assert memo.lookup("fp", [3, 1, 1]) is None
+
+    def test_permuted_store_overwrites_one_entry(self):
+        memo = ResultMemo()
+        memo.store("fp", [3, 3, 1], ["c", "c", "a"])
+        memo.store("fp", [1, 3, 3], ["a", "c", "c"])
+        assert len(memo) == 1
+        assert memo.lookup("fp", [3, 1, 3]) == ["c", "a", "c"]
+
+    def test_hit_moves_entry_to_most_recent(self):
+        memo = ResultMemo(max_entries=3)
+        memo.store("fp", [1], ["a"])
+        memo.store("fp", [2, 1], ["b", "a"])
+        memo.store("fp", [3], ["c"])
+        assert memo.lookup("fp", [1, 2]) == ["a", "b"]  # LRU: [1], [3], [1,2]
+        memo.store("fp", [4], ["d"])  # evicts [1]
+        assert memo.lookup("fp", [1]) is None
+        memo.store("fp", [5], ["e"])  # evicts [3], not the hit entry
+        assert memo.lookup("fp", [3]) is None
+        assert memo.lookup("fp", [2, 1]) == ["b", "a"]
+        assert memo.evictions == 2
+
+    def test_eviction_event_counts_distinct_indices(self):
+        from repro.obs import MemorySink, Recorder
+
+        sink = MemorySink()
+        memo = ResultMemo(max_entries=1, recorder=Recorder([sink]))
+        memo.store("fp", [3, 3, 1], ["c", "c", "a"])
+        memo.store("fp", [2], ["b"])
+        (event,) = sink.events_of_kind("coalesce")
+        assert event.memo == "evict"
+        assert event.size == 2  # indices {1, 3}, not the 3-slot tuple
+
     def test_invalid_max_entries_rejected(self):
         with pytest.raises(ValueError):
             ResultMemo(max_entries=0)
